@@ -44,12 +44,13 @@ bench-eval:
 		./internal/metrics/ ./internal/quant/ | $(GO) run ./cmd/benchjson -o BENCH_eval.json
 
 ## bench-train: training-engine benchmarks — batch-32 ResNet-20
-## forward+backward (direct vs trainer at 1 and 4 workers, with
-## allocation counts) and the full RunOffline reference-attack
-## wall-clock — serialized to BENCH_train.json. Add
-## `-cpuprofile cpu.out` to the benchjson invocation for a profile.
+## forward+backward (direct vs the 4-shard trainer at 1 and 4 workers,
+## with allocation counts) — serialized to BENCH_train.json. The full
+## RunOffline wall-clock (BenchmarkOfflineAttack) belongs to
+## bench-offline. Add `-cpuprofile cpu.out` to the benchjson
+## invocation for a profile.
 bench-train:
-	$(GO) run ./cmd/benchjson -bench 'TrainStep|OfflineAttack' -pkg ./internal/core -o BENCH_train.json
+	$(GO) run ./cmd/benchjson -bench 'TrainStep' -pkg ./internal/core -o BENCH_train.json
 
 ## bench-online: online templating-engine benchmarks — the full
 ## ExecuteOnline buffer-size sweep (32768 → 262144 pages at 1/2/4

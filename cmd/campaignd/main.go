@@ -40,6 +40,10 @@ import (
 	"rowhammer/internal/campaign/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or slow connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8077", "HTTP listen address")
 	dir := flag.String("dir", "", "durable state directory (required unless -demo)")
@@ -70,7 +74,7 @@ func main() {
 		log.Fatalf("campaignd: %v", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -109,7 +113,7 @@ func runDemo(workers, cacheEntries int) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

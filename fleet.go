@@ -7,8 +7,6 @@ import (
 
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/campaign/server"
-	"rowhammer/internal/core"
-	"rowhammer/internal/memsys"
 )
 
 // FleetModule is one deployment in a fleet sweep: a simulated DRAM
@@ -77,34 +75,17 @@ func RunFleet(v *Victim, off *Offline, modules []FleetModule, cfg FleetConfig) (
 	if len(modules) == 0 {
 		return nil, fmt.Errorf("rowhammer: fleet has no modules")
 	}
-	cleanFile, err := victimWeightFile(v)
+	file, reqs, err := onlineInputs(v, off)
 	if err != nil {
 		return nil, err
 	}
-	reqs := core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes)
-	filePages := len(cleanFile) / memsys.PageSize
-
 	jobs := make([]campaign.Job, len(modules))
 	for i, m := range modules {
-		dev, err := m.Hardware.resolveDevice()
-		if err != nil {
+		if jobs[i], err = m.Hardware.jobSpec(m.Name, file, reqs).Resolve(i); err != nil {
 			return nil, fmt.Errorf("rowhammer: fleet module %d: %w", i, err)
 		}
-		name := m.Name
-		if name == "" {
-			name = dev.Name
-		}
-		jobs[i] = campaign.Job{
-			Name:       name,
-			WeightFile: cleanFile,
-			Reqs:       reqs,
-			Module: campaign.ModuleSpec{
-				Device:    dev,
-				SizeBytes: orInt(m.Hardware.ModuleMB, 192) << 20,
-				Seed:      orI64(m.Hardware.Seed, 7),
-				Fault:     m.Hardware.faultModel(),
-			},
-			Online: m.Hardware.onlineConfig(filePages),
+		if m.Name == "" {
+			jobs[i].Name = jobs[i].Module.Device.Name
 		}
 	}
 
@@ -152,22 +133,7 @@ func toFleetReport(r campaign.Result) FleetReport {
 
 // FleetServiceConfig configures an embedded campaignd daemon core — the
 // long-running orchestration service behind cmd/campaignd.
-type FleetServiceConfig struct {
-	// Dir is the durable state root (required). Fleets submitted to the
-	// service are checkpointed under it: a process killed mid-fleet
-	// resumes on the next StartFleetService over the same directory and
-	// finishes with byte-identical results.
-	Dir string
-	// Workers bounds concurrently executing campaigns per fleet (0 = 1).
-	Workers int
-	// MaxArenaMB caps estimated in-flight DRAM simulation state per
-	// fleet (0 = uncapped).
-	MaxArenaMB int
-	// CacheEntries bounds the cross-fleet profile cache (0 = unbounded).
-	CacheEntries int
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
-}
+type FleetServiceConfig = server.Config
 
 // FleetService is a running campaignd core: a durable fleet queue over
 // the campaign engine with an HTTP/JSON surface. Mount Handler on any
@@ -180,13 +146,7 @@ type FleetService struct {
 // StartFleetService opens cfg.Dir, resumes any fleet a previous process
 // left unfinished, and starts the service.
 func StartFleetService(cfg FleetServiceConfig) (*FleetService, error) {
-	s, err := server.New(server.Config{
-		Dir:          cfg.Dir,
-		Workers:      cfg.Workers,
-		MaxArenaMB:   cfg.MaxArenaMB,
-		CacheEntries: cfg.CacheEntries,
-		Logf:         cfg.Logf,
-	})
+	s, err := server.New(cfg)
 	if err != nil {
 		return nil, err
 	}

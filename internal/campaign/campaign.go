@@ -48,9 +48,28 @@ type ModuleSpec struct {
 	Fault dram.FaultModel
 }
 
+// MaxModuleMB is the largest module capacity a job may ask for: the
+// 16 GB (4M-page) DIMM the sparse page store is sized and benchmarked
+// for.
+const MaxModuleMB = 16 << 10
+
 // geometry resolves the spec to the standard 16-bank layout.
 func (s ModuleSpec) geometry() dram.Geometry {
 	return dram.GeometryForSize(s.SizeBytes, 16)
+}
+
+// NewSystem builds a pristine module of the spec's identity, wraps it in
+// a fresh OS simulation and installs the fault model — the standalone
+// environment a single online attack runs in, without the fleet
+// engine's pooling or template cache.
+func (s ModuleSpec) NewSystem() (*memsys.System, error) {
+	mod, err := dram.NewModule(s.geometry(), s.Device, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	sys := memsys.NewSystem(mod)
+	sys.InjectFaults(s.Fault)
+	return sys, nil
 }
 
 // SKU names the spec's stock-keeping unit (device + capacity class).
@@ -256,7 +275,9 @@ func systemFor(mod *dram.Module, rec *memsys.Recycler) *memsys.System {
 	return memsys.NewSystem(mod)
 }
 
-// Validate rejects jobs the engine cannot execute canonically.
+// Validate rejects jobs the engine cannot execute canonically, and jobs
+// whose online configuration the engine would refuse at run time, so a
+// submission fails before any work is queued.
 func (j Job) Validate() error {
 	if j.Online.Profile != nil {
 		return fmt.Errorf("campaign: job %q pre-sets Online.Profile; the engine owns template injection", j.Name)
@@ -266,6 +287,17 @@ func (j Job) Validate() error {
 	}
 	if j.Module.SizeBytes <= 0 {
 		return fmt.Errorf("campaign: job %q has no module size", j.Name)
+	}
+	if j.Module.SizeBytes > MaxModuleMB<<20 {
+		return fmt.Errorf("campaign: job %q module of %d MB exceeds the %d MB maximum",
+			j.Name, j.Module.SizeBytes>>20, MaxModuleMB)
+	}
+	if pages := j.Module.geometry().Size() / memsys.PageSize; j.Online.BufferPages > pages {
+		return fmt.Errorf("campaign: job %q templating buffer of %d pages exceeds the module's %d pages",
+			j.Name, j.Online.BufferPages, pages)
+	}
+	if err := j.Online.Validate(); err != nil {
+		return fmt.Errorf("campaign: job %q: %w", j.Name, err)
 	}
 	return nil
 }

@@ -261,6 +261,31 @@ func TestRunStreamsEveryResult(t *testing.T) {
 	}
 }
 
+// TestJobValidateRejectsRunTimeFailures pins the submit-time checks
+// that mirror run-time refusals: an oversized module, a templating
+// buffer larger than the module, and negative retry knobs.
+func TestJobValidateRejectsRunTimeFailures(t *testing.T) {
+	ok := Job{
+		Name:   "ok",
+		Module: ModuleSpec{Device: dram.PaperDDR3(), SizeBytes: 16 << 20},
+		Online: core.OnlineConfig{BufferPages: 4096},
+	}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid job rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Job){
+		"module above maximum": func(j *Job) { j.Module.SizeBytes = (MaxModuleMB + 1) << 20 },
+		"buffer above module":  func(j *Job) { j.Online.BufferPages = 4097 },
+		"negative rounds":      func(j *Job) { j.Online.Rounds = -1 },
+	} {
+		j := ok
+		mutate(&j)
+		if err := j.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, j.Online)
+		}
+	}
+}
+
 // waitWaiters spins until the semaphore has n queued waiters.
 func waitWaiters(t *testing.T, s *byteSem, n int) {
 	t.Helper()

@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -38,7 +39,10 @@ import (
 
 // Config configures the daemon core.
 type Config struct {
-	// Dir is the durable state root (required). The daemon owns it.
+	// Dir is the durable state root (required). The daemon owns it:
+	// fleets are checkpointed under it, and a process killed mid-fleet
+	// resumes on the next New over the same directory and finishes with
+	// byte-identical results.
 	Dir string
 	// Workers bounds concurrently executing campaigns per fleet (≤0 = 1).
 	Workers int
@@ -79,7 +83,7 @@ type fleetState struct {
 	seedKeys []string
 
 	mu        sync.Mutex
-	state     string // "queued" | "running" | "done"
+	state     string // "queued" | "running" | "done" | "failed"
 	results   []*campaign.Result
 	completed int
 	failed    int
@@ -134,7 +138,8 @@ func (s *Server) logf(format string, args ...any) {
 
 // load replays the checkpoint directory: done fleets are served from
 // disk, unfinished ones re-enter the queue with their completed
-// campaigns pre-filled.
+// campaigns pre-filled, and unfinished ones whose saved spec no longer
+// resolves are marked failed with their completed campaigns kept.
 func (s *Server) load() error {
 	ids, err := listFleetIDs(s.cfg.Dir)
 	if err != nil {
@@ -145,10 +150,11 @@ func (s *Server) load() error {
 		if err := readJSONFile(fleetSpecPath(s.cfg.Dir, id), &pf); err != nil {
 			return fmt.Errorf("campaignd: fleet %s: %w", id, err)
 		}
-		jobs, err := pf.Spec.Resolve()
-		if err != nil {
-			return fmt.Errorf("campaignd: fleet %s: %w", id, err)
-		}
+		// A spec saved by an older daemon may fail checks added since.
+		// It can no longer run, but it must not make the rest of the
+		// state directory unreachable: a finished one is still served
+		// from disk below, an unfinished one is marked failed.
+		jobs, resolveErr := pf.Spec.Resolve()
 		f := &fleetState{
 			id:       id,
 			spec:     pf.Spec,
@@ -156,11 +162,11 @@ func (s *Server) load() error {
 			hits:     campaign.HitAssignment(jobs, pf.SeedKeys),
 			seedKeys: pf.SeedKeys,
 			state:    "queued",
-			results:  make([]*campaign.Result, len(jobs)),
+			results:  make([]*campaign.Result, len(pf.Spec.Jobs)),
 			subs:     make(map[chan campaign.Result]struct{}),
 			done:     make(chan struct{}),
 		}
-		loaded, err := loadResults(s.cfg.Dir, id, len(jobs))
+		loaded, err := loadResults(s.cfg.Dir, id, len(f.results))
 		if err != nil {
 			return err
 		}
@@ -183,6 +189,10 @@ func (s *Server) load() error {
 			close(f.done)
 		} else if !os.IsNotExist(err) {
 			return fmt.Errorf("campaignd: fleet %s summary: %w", id, err)
+		} else if resolveErr != nil {
+			s.logf("campaignd: fleet %s no longer resolves, marked failed: %v", id, resolveErr)
+			f.state = "failed"
+			close(f.done)
 		}
 		s.fleets[id] = f
 		s.order = append(s.order, id)
@@ -191,7 +201,7 @@ func (s *Server) load() error {
 			s.nextID = n + 1
 		}
 		if f.state == "queued" {
-			s.logf("campaignd: resuming fleet %s (%d/%d campaigns done)", id, f.completed, len(jobs))
+			s.logf("campaignd: resuming fleet %s (%d/%d campaigns done)", id, f.completed, len(f.jobs))
 		}
 	}
 	return nil
@@ -434,7 +444,7 @@ func (f *fleetState) statusLocked() FleetStatus {
 		ID:        f.id,
 		Name:      f.spec.Name,
 		State:     f.state,
-		Campaigns: len(f.jobs),
+		Campaigns: len(f.results),
 		Completed: f.completed,
 		Failed:    f.failed,
 		CacheHits: f.cacheHits,
@@ -462,7 +472,7 @@ func (f *fleetState) subscribe() ([]campaign.Result, chan campaign.Result) {
 			replay = append(replay, *r)
 		}
 	}
-	if f.state == "done" {
+	if f.state == "done" || f.state == "failed" {
 		return replay, nil
 	}
 	ch := make(chan campaign.Result, len(f.jobs))
@@ -503,10 +513,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSubmitBytes bounds a POST /v1/fleets body: 1 GiB, two orders of
+// magnitude above a realistic submission (24 campaigns over 128-page
+// weight files post about 8.5 MB), so one request cannot grow the
+// daemon's memory without limit. Larger bodies get 413. It is a
+// variable only so tests can reach the limit without a gigabyte body.
+var maxSubmitBytes int64 = 1 << 30
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec FleetSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("decoding fleet spec: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("decoding fleet spec: %v", err), code)
 		return
 	}
 	id, err := s.Submit(spec)

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -173,6 +177,62 @@ func TestThirdLifeServesDoneFleet(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsFleetsThatNoLongerResolve starts a daemon over a state
+// directory written by an older daemon that accepted Rounds:-1. That
+// spec now fails submission checks; New must still succeed, serve the
+// finished fleet from disk, mark the unfinished one failed with its
+// checkpointed campaign kept, and go on accepting work.
+func TestLoadKeepsFleetsThatNoLongerResolve(t *testing.T) {
+	dir := t.TempDir()
+	page := base64.StdEncoding.EncodeToString(make([]byte, 4096))
+	job := `{"WeightFile":"` + page + `","Online":{"Rounds":-1}}`
+	spec := `{"ID":"%s","Spec":{"Jobs":[` + job + `,` + job + `]},"SeedKeys":null}`
+	write := func(id, name, body string) {
+		t.Helper()
+		if err := os.MkdirAll(fleetDir(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(fleetDir(dir, id), name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"f000000", "f000001"} {
+		write(id, "fleet.json", fmt.Sprintf(spec, id))
+		write(id, "results.jsonl", `{"Index":0,"Name":"old-0"}`+"\n")
+	}
+	write("f000001", "summary.json", `{"ID":"f000001","State":"done","Digest":"abc"}`)
+
+	s, hs := testServer(t, dir, 1)
+	defer hs.Close()
+	defer s.Close()
+	for id, want := range map[string]string{"f000000": "failed", "f000001": "done"} {
+		waitDone(t, s, id)
+		st := fleetStatus(t, s, id)
+		if st.State != want || st.Campaigns != 2 || st.Completed != 1 {
+			t.Fatalf("fleet %s: state=%s campaigns=%d completed=%d, want %s/2/1",
+				id, st.State, st.Campaigns, st.Completed, want)
+		}
+		lines := bytes.Count(getBody(t, hs.URL+"/v1/fleets/"+id+"/stream"), []byte{'\n'})
+		if lines != 1 {
+			t.Fatalf("fleet %s stream replayed %d lines, want 1", id, lines)
+		}
+	}
+	if st := fleetStatus(t, s, "f000001"); st.Digest != "abc" {
+		t.Fatalf("done fleet digest %q, want the saved one", st.Digest)
+	}
+	id, err := s.Submit(DemoFleet(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "f000002" {
+		t.Fatalf("new fleet id %s, want f000002", id)
+	}
+	waitDone(t, s, id)
+	if st := fleetStatus(t, s, id); st.State != "done" || st.Failed != 0 {
+		t.Fatalf("new fleet state=%s failed=%d", st.State, st.Failed)
+	}
+}
+
 // TestStreamDeliversEveryResultOnce subscribes before the fleet runs
 // and asserts the stream yields exactly one line per campaign, with
 // replay and live delivery never duplicating or dropping.
@@ -241,38 +301,87 @@ func TestSKUAggregationAcrossFleets(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsBadSpecs exercises validation through the HTTP
-// surface: malformed JSON, empty fleets, unknown devices and misaligned
-// weight files must all 400 without leaving state behind.
-func TestSubmitRejectsBadSpecs(t *testing.T) {
-	s, hs := testServer(t, t.TempDir(), 1)
-	defer hs.Close()
-	defer s.Close()
-	bad := []string{
+// badSpecs are submissions the daemon must refuse: malformed JSON,
+// empty fleets, unknown devices, misaligned weight files, and online
+// knobs or module sizes the engine would reject at run time.
+func badSpecs() []string {
+	page := base64.StdEncoding.EncodeToString(make([]byte, 4096))
+	job := func(fields string) string {
+		return `{"Jobs":[{"WeightFile":"` + page + `",` + fields + `}]}`
+	}
+	return []string{
 		`{not json`,
 		`{}`,
 		`{"Jobs":[{"WeightFile":"aGk=","Module":{"Device":"nope"}}]}`,
 		`{"Jobs":[{"WeightFile":"aGk=","Online":{"BufferPages":64}}]}`, // 2 bytes: misaligned
+		job(`"Online":{"Rounds":-1}`),
+		job(`"Online":{"Escalation":-2}`),
+		job(`"Online":{"RetemplatePasses":-1}`),
+		job(`"Online":{"MaxBufferPages":-1}`),
+		job(`"Module":{"SizeMB":16385}`),                            // above the 16 GB maximum
+		job(`"Module":{"SizeMB":-1}`),                               // negative size
+		job(`"Module":{"SizeMB":16},"Online":{"BufferPages":8192}`), // buffer larger than the 4096-page module
 	}
-	for _, body := range bad {
-		resp, err := http.Post(hs.URL+"/v1/fleets", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("spec %q: HTTP %d, want 400", body, resp.StatusCode)
-		}
-	}
+}
+
+// countFleets returns how many fleets the daemon lists.
+func countFleets(t *testing.T, hs *httptest.Server) int {
+	t.Helper()
 	var fleets []FleetStatus
 	if err := json.Unmarshal(getBody(t, hs.URL+"/v1/fleets"), &fleets); err != nil {
 		t.Fatal(err)
 	}
-	if len(fleets) != 0 {
-		t.Fatalf("%d fleets exist after rejected submissions, want 0", len(fleets))
+	return len(fleets)
+}
+
+// TestSubmitRejectsBadSpecs exercises validation through the HTTP
+// surface: every badSpecs body must 400 without leaving state behind.
+func TestSubmitRejectsBadSpecs(t *testing.T) {
+	s, hs := testServer(t, t.TempDir(), 1)
+	defer hs.Close()
+	defer s.Close()
+	for _, body := range badSpecs() {
+		resp, err := http.Post(hs.URL+"/v1/fleets", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %.80q: HTTP %d, want 400", body, resp.StatusCode)
+		}
+		t.Logf("rejected: %s", bytes.TrimSpace(msg))
+	}
+	if n := countFleets(t, hs); n != 0 {
+		t.Fatalf("%d fleets exist after rejected submissions, want 0", n)
 	}
 	if _, err := New(Config{Dir: ""}); err == nil {
 		t.Fatal("New accepted an empty state directory")
+	}
+}
+
+// TestSubmitRejectsOversizedBody lowers the body bound below a real
+// fleet spec: the POST must answer 413 and create no fleet.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	defer func(prev int64) { maxSubmitBytes = prev }(maxSubmitBytes)
+	maxSubmitBytes = 1 << 10
+	s, hs := testServer(t, t.TempDir(), 1)
+	defer s.Close()
+	defer hs.Close()
+	body, err := json.Marshal(DemoFleet(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/fleets", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte spec over a %d-byte bound: HTTP %d, want 413", len(body), maxSubmitBytes, resp.StatusCode)
+	}
+	if n := countFleets(t, hs); n != 0 {
+		t.Fatalf("%d fleets exist after an oversized submission, want 0", n)
 	}
 }
 

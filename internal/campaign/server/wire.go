@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 
 	"rowhammer/internal/campaign"
@@ -50,7 +51,8 @@ type ModuleSpec struct {
 	// Device is a Table I chip name ("A1" … "N1"); empty picks the
 	// paper's DDR3 module.
 	Device string
-	// SizeMB is the module capacity (0 = 192).
+	// SizeMB is the module capacity (0 = 192, at most
+	// campaign.MaxModuleMB).
 	SizeMB int
 	// Seed keys the weak-cell layout (0 = 7).
 	Seed int64
@@ -80,102 +82,98 @@ type OnlineSpec struct {
 	MaxBufferPages   int
 }
 
-// resolveDevice maps a device name to its profile.
-func (m ModuleSpec) resolveDevice() (dram.DeviceProfile, error) {
-	if m.Device == "" {
-		return dram.PaperDDR3(), nil
-	}
-	p, ok := dram.ProfileByName(m.Device)
-	if !ok {
-		return dram.DeviceProfile{}, fmt.Errorf("unknown device %q", m.Device)
-	}
-	return p, nil
-}
-
-// Resolve turns the spec into the engine's job list. Resolution is a
-// pure function of the spec — the resume path depends on a reloaded
-// spec producing the identical jobs (and therefore identical template
-// fingerprints) as the original submission.
+// Resolve turns the spec into the engine's job list, one
+// JobSpec.Resolve per job.
 func (s FleetSpec) Resolve() ([]campaign.Job, error) {
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("fleet has no jobs")
 	}
 	out := make([]campaign.Job, len(s.Jobs))
 	for i, js := range s.Jobs {
-		dev, err := js.Module.resolveDevice()
+		job, err := js.Resolve(i)
 		if err != nil {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
-		if len(js.WeightFile) == 0 || len(js.WeightFile)%memsys.PageSize != 0 {
-			return nil, fmt.Errorf("job %d: weight file must be a non-empty multiple of %d bytes, got %d",
-				i, memsys.PageSize, len(js.WeightFile))
-		}
-		name := js.Name
-		if name == "" {
-			name = fmt.Sprintf("%s-%d", dev.Name, i)
-		}
-		sizeMB := js.Module.SizeMB
-		if sizeMB == 0 {
-			sizeMB = 192
-		}
-		seed := js.Module.Seed
-		if seed == 0 {
-			seed = 7
-		}
-		var fault dram.FaultModel
-		if js.Module.FlipFailProb > 0 || js.Module.TRRJitter > 0 {
-			fault = dram.FaultModel{
-				FlipFailProb: js.Module.FlipFailProb,
-				TRRJitter:    js.Module.TRRJitter,
-				Seed:         js.Module.FaultSeed,
-			}
-			if fault.Seed == 0 {
-				fault.Seed = 1
-			}
-		}
-		ocfg := core.DefaultOnlineConfig(len(js.WeightFile) / memsys.PageSize)
-		if js.Online.BufferPages != 0 {
-			ocfg.BufferPages = js.Online.BufferPages
-		}
-		if js.Online.Sides != 0 {
-			ocfg.Sides = js.Online.Sides
-		}
-		if js.Online.Intensity != 0 {
-			ocfg.Intensity = js.Online.Intensity
-		}
-		ocfg.MeasureSeed = js.Online.MeasureSeed
-		if ocfg.MeasureSeed == 0 {
-			ocfg.MeasureSeed = 7
-		}
-		ocfg.Rounds = js.Online.Rounds
-		ocfg.Escalation = js.Online.Escalation
-		ocfg.RetemplatePasses = js.Online.RetemplatePasses
-		ocfg.MaxBufferPages = js.Online.MaxBufferPages
-
-		out[i] = campaign.Job{
-			Name:       name,
-			WeightFile: js.WeightFile,
-			Reqs:       js.Reqs,
-			Module: campaign.ModuleSpec{
-				Device:    dev,
-				SizeBytes: sizeMB << 20,
-				Seed:      seed,
-				Fault:     fault,
-			},
-			Online: ocfg,
-		}
-		if err := out[i].Validate(); err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
+		out[i] = job
 	}
 	return out, nil
+}
+
+// Resolve turns one job description into the engine's campaign.Job:
+// device name → Table I profile, zero knobs → documented defaults, then
+// campaign.Job.Validate. It is the only place a campaign description is
+// resolved — the public HammerOnline/ServeUnderFire/RunFleet surfaces
+// lower their HardwareConfig to a JobSpec and call it too, so every
+// surface attacks the identical deployment. index is the job's position
+// in its fleet and names an unnamed job.
+//
+// Resolution is a pure function of the spec: the resume path depends on
+// a reloaded spec producing the identical job (and therefore the
+// identical template fingerprint) as the original submission.
+func (js JobSpec) Resolve(index int) (campaign.Job, error) {
+	dev := dram.PaperDDR3()
+	if js.Module.Device != "" {
+		var ok bool
+		if dev, ok = dram.ProfileByName(js.Module.Device); !ok {
+			return campaign.Job{}, fmt.Errorf("unknown device %q", js.Module.Device)
+		}
+	}
+	if len(js.WeightFile) == 0 || len(js.WeightFile)%memsys.PageSize != 0 {
+		return campaign.Job{}, fmt.Errorf("weight file must be a non-empty multiple of %d bytes, got %d",
+			memsys.PageSize, len(js.WeightFile))
+	}
+	// Checked before the MB → bytes shift, which could overflow.
+	if js.Module.SizeMB < 0 || js.Module.SizeMB > campaign.MaxModuleMB {
+		return campaign.Job{}, fmt.Errorf("module size %d MB outside [0, %d]",
+			js.Module.SizeMB, campaign.MaxModuleMB)
+	}
+	name := js.Name
+	if name == "" {
+		name = fmt.Sprintf("%s-%d", dev.Name, index)
+	}
+	var fault dram.FaultModel
+	if js.Module.FlipFailProb > 0 || js.Module.TRRJitter > 0 {
+		fault = dram.FaultModel{
+			FlipFailProb: js.Module.FlipFailProb,
+			TRRJitter:    js.Module.TRRJitter,
+			Seed:         cmp.Or(js.Module.FaultSeed, 1),
+		}
+	}
+	ocfg := core.DefaultOnlineConfig(len(js.WeightFile) / memsys.PageSize)
+	ocfg.BufferPages = cmp.Or(js.Online.BufferPages, ocfg.BufferPages)
+	ocfg.Sides = cmp.Or(js.Online.Sides, ocfg.Sides)
+	ocfg.Intensity = cmp.Or(js.Online.Intensity, ocfg.Intensity)
+	ocfg.MeasureSeed = cmp.Or(js.Online.MeasureSeed, 7)
+	ocfg.Rounds = js.Online.Rounds
+	ocfg.Escalation = js.Online.Escalation
+	ocfg.RetemplatePasses = js.Online.RetemplatePasses
+	ocfg.MaxBufferPages = js.Online.MaxBufferPages
+
+	job := campaign.Job{
+		Name:       name,
+		WeightFile: js.WeightFile,
+		Reqs:       js.Reqs,
+		Module: campaign.ModuleSpec{
+			Device:    dev,
+			SizeBytes: cmp.Or(js.Module.SizeMB, 192) << 20,
+			Seed:      cmp.Or(js.Module.Seed, 7),
+			Fault:     fault,
+		},
+		Online: ocfg,
+	}
+	if err := job.Validate(); err != nil {
+		return campaign.Job{}, err
+	}
+	return job, nil
 }
 
 // FleetStatus is the wire form of GET /v1/fleets/{id}.
 type FleetStatus struct {
 	ID   string
 	Name string
-	// State is "queued", "running" or "done".
+	// State is "queued", "running" or "done"; "failed" marks an
+	// unfinished fleet, saved by an older daemon, whose spec no longer
+	// passes submission checks and so can never resume.
 	State string
 	// Campaigns / Completed / Failed / CacheHits count the fleet's
 	// campaigns and how they went so far.

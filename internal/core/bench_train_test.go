@@ -52,8 +52,8 @@ func BenchmarkTrainStep(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("trainer_workers%d", workers), func(b *testing.B) {
 			m := buildVictim()
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 			tr := nn.NewTrainer(m, 4)
-			tr.SetWorkers(workers)
 			for i := 0; i < 2; i++ {
 				m.ZeroGrad()
 				tr.ForwardBackward(x, labels, 1)
@@ -83,7 +83,7 @@ func BenchmarkOfflineAttack(b *testing.B) {
 			cfg := DefaultConfig(5, 2)
 			cfg.Iterations = 100
 			cfg.TrainShards = 4
-			cfg.TrainWorkers = workers
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

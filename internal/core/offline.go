@@ -80,21 +80,12 @@ type Config struct {
 	// forwards, just faster. This knob pins the reference path for the
 	// determinism suite and A/B benchmarks.
 	FullForwardRefine bool
-	// ScoreWorkers bounds how many candidate flips the suffix scorer
-	// evaluates concurrently (0 uses the kernel parallelism bound).
-	// Scheduling only: the refinement reduces candidate losses in fixed
-	// candidate order, so any worker count produces byte-identical
-	// attack output.
-	ScoreWorkers int
 	// TrainShards fixes the data-parallel trainer's shard count for the
 	// gradient passes (0 selects nn.DefaultTrainShards). The shard count
 	// — not the worker count — determines the floating-point summation
-	// geometry, so results are a function of this value alone.
+	// geometry, so results are a function of this value alone; the
+	// shards run concurrently on up to tensor.MaxWorkers() workers.
 	TrainShards int
-	// TrainWorkers bounds how many shards run concurrently (0 uses the
-	// kernel parallelism bound). Scheduling only: any worker count
-	// produces bit-identical results for a fixed TrainShards.
-	TrainWorkers int
 }
 
 // DefaultConfig returns the paper's settings for a CIFAR-scale model.
@@ -277,7 +268,6 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	if qm != nil && !cfg.FullForwardRefine {
 		scorer = quant.NewScorer(qm, refineBatch.clean, refineBatch.trig,
 			refineBatch.labels, refineTargets, cfg.Alpha)
-		scorer.SetWorkers(cfg.ScoreWorkers)
 	}
 
 	result := &Result{Quantizer: q, OrigCodes: orig, Trigger: trigger}
@@ -288,9 +278,6 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	// weights each step (the masked sign-SGD update and Bit Reduction
 	// mutate them between steps).
 	trainer := nn.NewTrainer(model, cfg.TrainShards)
-	if cfg.TrainWorkers > 0 {
-		trainer.SetWorkers(cfg.TrainWorkers)
-	}
 	// Persistent triggered-image buffer, re-stamped per iteration.
 	trigImages := batch.Images.Clone()
 

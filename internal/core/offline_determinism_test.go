@@ -1,18 +1,21 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rowhammer/internal/data"
 	"rowhammer/internal/models"
+	"rowhammer/internal/tensor"
 )
 
 // runOfflineAtWorkers executes a short RunOffline against a freshly
-// built (untrained) victim with a fixed shard count and the given
-// worker bound. Untrained weights are fine here: the test checks the
-// determinism contract, not attack quality.
+// built (untrained) victim with a fixed shard count and the kernel
+// parallelism bound set to workers. Untrained weights are fine here:
+// the test checks the determinism contract, not attack quality.
 func runOfflineAtWorkers(t *testing.T, workers int) *Result {
 	t.Helper()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 	m, err := models.Build(models.Config{Arch: "resnet20", Classes: 10, WidthMult: 0.25, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +29,6 @@ func runOfflineAtWorkers(t *testing.T, workers int) *Result {
 	cfg.BitReduceEvery = 2
 	cfg.RefineBatch = 8
 	cfg.TrainShards = 4
-	cfg.TrainWorkers = workers
 	out, err := RunOffline(m, attackSet, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +40,11 @@ func runOfflineAtWorkers(t *testing.T, workers int) *Result {
 // determinism contract end to end: with a fixed TrainShards, the
 // worker count is scheduling-only, so the attack output — codes, flip
 // count, per-iteration losses — must be byte-identical at any
-// parallelism.
+// parallelism. Raising GOMAXPROCS makes the multi-worker runs
+// genuinely concurrent even on a single-CPU machine (MaxWorkers clamps
+// to GOMAXPROCS).
 func TestRunOfflineBitIdenticalAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base := runOfflineAtWorkers(t, 1)
 	for _, workers := range []int{2, 4} {
 		out := runOfflineAtWorkers(t, workers)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rowhammer/internal/data"
 	"rowhammer/internal/models"
+	"rowhammer/internal/tensor"
 )
 
 // runOfflineRefine executes a short RunOffline with the given refinement
@@ -60,16 +62,19 @@ func compareResults(t *testing.T, label string, base, out *Result) {
 
 // TestRefinementSuffixMatchesFullForward pins the suffix scorer's
 // end-to-end contract: the attack output with incremental suffix scoring
-// must be byte-identical to the FullForwardRefine reference path, at any
-// scorer worker count.
+// must be byte-identical to the FullForwardRefine reference path at any
+// kernel parallelism bound. Raising GOMAXPROCS makes the multi-worker
+// runs genuinely concurrent even on a single-CPU machine.
 func TestRefinementSuffixMatchesFullForward(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ref := runOfflineRefine(t, func(c *Config) { c.FullForwardRefine = true })
 	if ref.NFlip == 0 {
 		t.Fatal("fixture applied no flips; the comparison would be vacuous")
 	}
 	for _, w := range []int{1, 2, 4} {
-		w := w
-		out := runOfflineRefine(t, func(c *Config) { c.ScoreWorkers = w })
+		prev := tensor.SetMaxWorkers(w)
+		out := runOfflineRefine(t, nil)
+		tensor.SetMaxWorkers(prev)
 		compareResults(t, "suffix workers="+string(rune('0'+w)), ref, out)
 	}
 }
@@ -82,9 +87,8 @@ func TestRefinementSuffixWithForbiddenMask(t *testing.T) {
 		c.FullForwardRefine = true
 		c.ForbiddenBitMask = 0x80
 	})
-	out := runOfflineRefine(t, func(c *Config) {
-		c.ForbiddenBitMask = 0x80
-		c.ScoreWorkers = 2
-	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(2))
+	out := runOfflineRefine(t, func(c *Config) { c.ForbiddenBitMask = 0x80 })
 	compareResults(t, "masked suffix", ref, out)
 }

@@ -74,11 +74,12 @@ type OnlineConfig struct {
 	AfterRound func(round int, mapped []byte) `json:"-"`
 }
 
-// validateRetryKnobs rejects negative retry machinery. A negative value
-// is always a caller bug — silently treating it as "disabled" (what the
-// < 1 clamps downstream would do) hides mis-wired sweep configs, so the
-// engine refuses loudly instead.
-func (cfg OnlineConfig) validateRetryKnobs() error {
+// Validate rejects negative retry machinery. A negative value is always
+// a caller bug — silently treating it as "disabled" (what the < 1 clamps
+// downstream would do) hides mis-wired sweep configs, so the engine
+// refuses loudly instead. ExecuteOnline runs it first; submission paths
+// call it to reject a config before any work is queued.
+func (cfg OnlineConfig) Validate() error {
 	if cfg.Rounds < 0 {
 		return fmt.Errorf("core: Rounds must be >= 0, got %d", cfg.Rounds)
 	}
@@ -179,7 +180,7 @@ func ExecuteOnline(sys *memsys.System, weightFile []byte, reqs []profile.PageReq
 	if cfg.WeightFileName == "" {
 		cfg.WeightFileName = "model-weights.bin"
 	}
-	if err := cfg.validateRetryKnobs(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(weightFile)%memsys.PageSize != 0 {

@@ -1,30 +1,13 @@
 package nn
 
-import (
-	"runtime"
+import "rowhammer/internal/tensor"
 
-	"rowhammer/internal/tensor"
-)
-
-// batchWorkers bounds batch-level parallelism in conv/batchnorm kernels.
-var batchWorkers = runtime.NumCPU()
-
-// SetBatchWorkers overrides batch-level parallelism; returns the previous
-// value so callers can restore it.
-func SetBatchWorkers(n int) int {
-	prev := batchWorkers
-	if n < 1 {
-		n = 1
-	}
-	batchWorkers = n
-	return prev
-}
-
-// batchParallel partitions [0, n) across workers and runs fn per chunk
-// on the tensor package's persistent worker pool (no goroutine spawn
-// per call; pure inline execution when batchWorkers is 1). Each worker
-// invocation is expected to allocate its own scratch buffers so no
-// synchronization is needed during the chunk.
+// batchParallel partitions [0, n) across the kernel parallelism bound
+// (tensor.MaxWorkers) and runs fn per chunk on the tensor package's
+// persistent worker pool (no goroutine spawn per call; pure inline
+// execution when the bound is 1). Each worker invocation is expected to
+// allocate its own scratch buffers so no synchronization is needed
+// during the chunk.
 func batchParallel(n int, fn func(lo, hi int)) {
-	tensor.ParallelChunks(n, batchWorkers, fn)
+	tensor.ParallelChunks(n, tensor.MaxWorkers(), fn)
 }

@@ -178,7 +178,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		c.fwd = fs
 	}
-	tensor.ParallelChunksIndexed(n, chunks, batchWorkers, func(idx, lo, hi int) {
+	tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
 		var col []float32
 		if !c.colCached {
 			col = tensor.GetF32(colLen)
@@ -264,7 +264,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		biasSlots[i] = 0
 	}
 
-	tensor.ParallelChunksIndexed(n, chunks, batchWorkers, func(idx, lo, hi int) {
+	tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
 		var col []float32
 		if !c.colCached {
 			col = tensor.GetF32(colLen)

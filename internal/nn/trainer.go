@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"runtime"
-
-	"rowhammer/internal/tensor"
-)
+import "rowhammer/internal/tensor"
 
 // DefaultTrainShards is the fixed shard count of a Trainer when the
 // caller does not choose one. The shard count — not the worker count —
@@ -37,8 +33,7 @@ const DefaultTrainShards = 1
 type Trainer struct {
 	Master *Model
 
-	shards  int
-	workers int
+	shards int
 
 	masterParams []*Param
 	masterBNs    []*BatchNorm2D
@@ -51,8 +46,8 @@ type Trainer struct {
 // NewTrainer builds a trainer with the given shard count (values < 1
 // select DefaultTrainShards). Replicas are constructed lazily on first
 // use, so a Trainer over a model that is still being mutated costs
-// nothing until the first step. The initial worker budget is the
-// tensor kernel parallelism bound.
+// nothing until the first step. Shards run concurrently on up to
+// tensor.MaxWorkers() workers; the worker count is scheduling only.
 func NewTrainer(master *Model, shards int) *Trainer {
 	if shards < 1 {
 		shards = DefaultTrainShards
@@ -60,7 +55,6 @@ func NewTrainer(master *Model, shards int) *Trainer {
 	return &Trainer{
 		Master:       master,
 		shards:       shards,
-		workers:      tensor.MaxWorkers(),
 		masterParams: master.Params(),
 		masterBNs:    collectBatchNorms(master.Root),
 	}
@@ -68,21 +62,6 @@ func NewTrainer(master *Model, shards int) *Trainer {
 
 // Shards returns the fixed shard count.
 func (t *Trainer) Shards() int { return t.shards }
-
-// SetWorkers bounds how many shards run concurrently. It affects
-// scheduling only — never results (shard geometry is fixed by the shard
-// count). Values below 1 clamp to 1; values above GOMAXPROCS clamp to
-// GOMAXPROCS, since oversubscribing schedulable CPUs only adds
-// scheduling overhead.
-func (t *Trainer) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if g := runtime.GOMAXPROCS(0); n > g {
-		n = g
-	}
-	t.workers = n
-}
 
 // ensureReplicas materializes the shard replicas on first use.
 func (t *Trainer) ensureReplicas() {
@@ -124,7 +103,7 @@ func (t *Trainer) ForwardBackward(x *tensor.Tensor, labels []int, weight float32
 	// The outer call fans the shard indices out to the workers; each
 	// shard's item range is derived from its index, a pure function of
 	// (n, sEff).
-	tensor.ParallelChunksIndexed(sEff, sEff, t.workers, func(idx, _, _ int) {
+	tensor.ParallelChunksIndexed(sEff, sEff, tensor.MaxWorkers(), func(idx, _, _ int) {
 		lo := idx * n / sEff
 		hi := (idx + 1) * n / sEff
 		rep := t.replicas[idx]

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"rowhammer/internal/tensor"
@@ -11,17 +12,11 @@ import (
 // input gradient.
 func trainerGradients(t *testing.T, seed int64, shards, workers int) ([]float32, float32, []float32) {
 	t.Helper()
-	prev := tensor.SetMaxWorkers(workers)
-	prevBatch := SetBatchWorkers(workers)
-	defer func() {
-		tensor.SetMaxWorkers(prev)
-		SetBatchWorkers(prevBatch)
-	}()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 
 	m := cloneTestModel(seed)
 	FreezeBatchNorm(m.Root)
 	tr := NewTrainer(m, shards)
-	tr.SetWorkers(workers)
 
 	rng := tensor.NewRNG(seed + 100)
 	x := tensor.New(8, 2, 8, 8)
@@ -42,8 +37,11 @@ func trainerGradients(t *testing.T, seed int64, shards, workers int) ([]float32,
 // contract: with a fixed shard count, the worker count must not change
 // a single bit of the accumulated gradients, the loss, or the input
 // gradient. This is what makes attack results reproducible across
-// machines with different core counts.
+// machines with different core counts. Raising GOMAXPROCS makes the
+// multi-worker runs genuinely concurrent even on a single-CPU machine
+// (MaxWorkers clamps to GOMAXPROCS).
 func TestTrainerGradientsBitIdenticalAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	refGrads, refLoss, refIn := trainerGradients(t, 41, 4, 1)
 	for _, workers := range []int{2, 4} {
 		grads, loss, inGrad := trainerGradients(t, 41, 4, workers)

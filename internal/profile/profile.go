@@ -118,18 +118,6 @@ type Config struct {
 	MeasureSeed int64
 	// SkipSpoilerCheck bypasses the contiguity verification (tests).
 	SkipSpoilerCheck bool
-	// Workers caps the fan-out of the parallel templating engine; 0 (the
-	// default) uses tensor.MaxWorkers(). Output is byte-identical at any
-	// worker count.
-	Workers int
-}
-
-// workerCount resolves the effective fan-out.
-func (c Config) workerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return tensor.MaxWorkers()
 }
 
 // ensurePages grows the victim/aggressor page indexes through buffer
@@ -273,7 +261,7 @@ func ProfileBuffer(sys *memsys.System, attacker *memsys.Process, bufBase, bufPag
 		}
 	}
 
-	workers := cfg.workerCount()
+	workers := tensor.MaxWorkers()
 	for _, list := range phaseLists {
 		list := list
 		tensor.ParallelChunks(len(list), workers, func(lo, hi int) {

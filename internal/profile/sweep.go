@@ -33,11 +33,7 @@ type SweepTarget struct {
 func ProfileSweep(targets []SweepTarget, cfg Config) ([]*Profile, error) {
 	profiles := make([]*Profile, len(targets))
 	errs := make([]error, len(targets))
-	workers := cfg.workerCount()
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	tensor.ParallelChunks(len(targets), workers, func(lo, hi int) {
+	tensor.ParallelChunks(len(targets), tensor.MaxWorkers(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := targets[i]
 			profiles[i], errs[i] = ProfileBuffer(t.Sys, t.Attacker, t.BufBase, t.BufPages, cfg)

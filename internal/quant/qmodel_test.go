@@ -272,12 +272,10 @@ func BenchmarkFloatForward(b *testing.B) { benchForward(b, false) }
 // criterion), not scheduler luck.
 func BenchmarkQuantForwardST(b *testing.B) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	defer nn.SetBatchWorkers(nn.SetBatchWorkers(1))
 	benchForward(b, true)
 }
 
 func BenchmarkFloatForwardST(b *testing.B) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	defer nn.SetBatchWorkers(nn.SetBatchWorkers(1))
 	benchForward(b, false)
 }

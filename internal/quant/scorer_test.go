@@ -1,10 +1,12 @@
 package quant
 
 import (
+	"runtime"
 	"testing"
 
 	"rowhammer/internal/models"
 	"rowhammer/internal/nn"
+	"rowhammer/internal/tensor"
 )
 
 // scorerFixture builds a quantized resnet20 with a pinned evaluation
@@ -104,18 +106,21 @@ func TestScorerMatchesFullForward(t *testing.T) {
 }
 
 // TestScorerWorkerDeterminism scores the same candidate set at several
-// worker counts; the losses must be byte-identical.
+// kernel parallelism bounds; the losses must be byte-identical. Raising
+// GOMAXPROCS makes the multi-worker runs genuinely concurrent even on a
+// single-CPU machine (MaxWorkers clamps to GOMAXPROCS).
 func TestScorerWorkerDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	q, qm, s, _ := scorerFixture(t, "resnet20")
 	var cands []Candidate
 	for _, wi := range scorerProbeWeights(q, qm) {
 		old := q.Code(wi)
 		cands = append(cands, Candidate{Weight: wi, Code: int8(byte(old) ^ 0x80)})
 	}
-	s.SetWorkers(1)
 	ref, refBase := s.Score(cands)
-	for _, w := range []int{2, 4, 0} {
-		s.SetWorkers(w)
+	for _, w := range []int{2, 4} {
+		tensor.SetMaxWorkers(w)
 		got, base := s.Score(cands)
 		if base != refBase {
 			t.Fatalf("workers=%d: base %v, want %v", w, base, refBase)

@@ -1,15 +1,17 @@
 package rowhammer
 
 import (
+	"cmp"
 	"fmt"
 
+	"rowhammer/internal/campaign"
+	"rowhammer/internal/campaign/server"
 	"rowhammer/internal/core"
 	"rowhammer/internal/data"
-	"rowhammer/internal/dram"
-	"rowhammer/internal/memsys"
 	"rowhammer/internal/metrics"
 	"rowhammer/internal/models"
 	"rowhammer/internal/pretrain"
+	"rowhammer/internal/profile"
 	"rowhammer/internal/quant"
 	"rowhammer/internal/serve"
 )
@@ -144,19 +146,15 @@ func InjectBackdoor(v *Victim, cfg AttackConfig) (*Offline, error) {
 		}
 	}
 	acfg := core.DefaultConfig(nflip, cfg.TargetClass)
-	acfg.Iterations = orInt(cfg.Iterations, 100)
+	acfg.Iterations = cmp.Or(cfg.Iterations, 100)
 	acfg.BitReduceEvery = acfg.Iterations / 2
 	if acfg.BitReduceEvery < 1 {
 		acfg.BitReduceEvery = 1
 	}
 	acfg.Eta = 2
-	acfg.Epsilon = orF32(cfg.Epsilon, 0.02)
-	if cfg.Alpha != 0 {
-		acfg.Alpha = cfg.Alpha
-	}
-	if cfg.TriggerSize != 0 {
-		acfg.TriggerSize = cfg.TriggerSize
-	}
+	acfg.Epsilon = cmp.Or(cfg.Epsilon, 0.02)
+	acfg.Alpha = cmp.Or(cfg.Alpha, acfg.Alpha)
+	acfg.TriggerSize = cmp.Or(cfg.TriggerSize, acfg.TriggerSize)
 	attackSet := v.result.Test.Head(32)
 	out, err := core.RunOffline(model, attackSet, acfg)
 	if err != nil {
@@ -251,53 +249,71 @@ type Online struct {
 	Rounds []AttackRound
 }
 
-// resolveDevice maps the config's device name to its Table I profile.
-func (hw HardwareConfig) resolveDevice() (dram.DeviceProfile, error) {
-	if hw.Device == "" {
-		return dram.PaperDDR3(), nil
+// jobSpec lowers the config to campaignd's wire form for the given
+// weight file and flip requirements. Every public online surface
+// resolves that through server.JobSpec.Resolve, the resolver campaignd
+// uses, so all of them attack the identical deployment. Seed keys both
+// the weak-cell layout and the side-channel noise.
+func (hw HardwareConfig) jobSpec(name string, file []byte, reqs []profile.PageRequirement) server.JobSpec {
+	return server.JobSpec{
+		Name:       name,
+		WeightFile: file,
+		Reqs:       reqs,
+		Module: server.ModuleSpec{
+			Device:       hw.Device,
+			SizeMB:       hw.ModuleMB,
+			Seed:         hw.Seed,
+			FlipFailProb: hw.FlipFailProb,
+			TRRJitter:    hw.TRRJitter,
+			FaultSeed:    hw.FaultSeed,
+		},
+		Online: server.OnlineSpec{
+			Sides:            hw.Sides,
+			MeasureSeed:      hw.Seed,
+			Rounds:           hw.Rounds,
+			Escalation:       hw.Escalation,
+			RetemplatePasses: hw.RetemplatePasses,
+		},
 	}
-	p, ok := dram.ProfileByName(hw.Device)
-	if !ok {
-		return dram.DeviceProfile{}, fmt.Errorf("rowhammer: unknown device %q", hw.Device)
-	}
-	return p, nil
 }
 
-// faultModel builds the config's fault model (zero value when no fault
-// knob is set).
-func (hw HardwareConfig) faultModel() dram.FaultModel {
-	if hw.FlipFailProb <= 0 && hw.TRRJitter <= 0 {
-		return dram.FaultModel{}
+// onlineJob resolves hw into the campaign job that corrupts the
+// victim's deployed weight file with the offline product's flips.
+func onlineJob(v *Victim, off *Offline, hw HardwareConfig) (campaign.Job, error) {
+	file, reqs, err := onlineInputs(v, off)
+	if err != nil {
+		return campaign.Job{}, err
 	}
-	return dram.FaultModel{
-		FlipFailProb: hw.FlipFailProb,
-		TRRJitter:    hw.TRRJitter,
-		Seed:         orI64(hw.FaultSeed, 1),
+	job, err := hw.jobSpec("", file, reqs).Resolve(0)
+	if err != nil {
+		return campaign.Job{}, fmt.Errorf("rowhammer: %w", err)
 	}
+	return job, nil
 }
 
-// onlineConfig resolves the config into the online engine's terms for a
-// weight file of filePages pages.
-func (hw HardwareConfig) onlineConfig(filePages int) core.OnlineConfig {
-	ocfg := core.DefaultOnlineConfig(filePages)
-	if hw.Sides != 0 {
-		ocfg.Sides = hw.Sides
-	}
-	ocfg.MeasureSeed = orI64(hw.Seed, 7)
-	ocfg.Rounds = hw.Rounds
-	ocfg.Escalation = hw.Escalation
-	ocfg.RetemplatePasses = hw.RetemplatePasses
-	return ocfg
-}
-
-// victimWeightFile quantizes a fresh clone of the victim into its
-// deployed weight-file bytes.
-func victimWeightFile(v *Victim) ([]byte, error) {
+// onlineInputs returns the victim's clean deployed weight file (a fresh
+// clone, quantized) and the per-page flips the offline product requires
+// of it.
+func onlineInputs(v *Victim, off *Offline) ([]byte, []profile.PageRequirement, error) {
 	clean, err := pretrain.CloneModel(v.cfg, v.result.Model)
+	if err != nil {
+		return nil, nil, err
+	}
+	return quant.NewQuantizer(clean).WeightFileBytes(),
+		core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes), nil
+}
+
+// runStandalone executes job's online attack on a fresh system of the
+// job's module identity, outside the fleet engine. afterRound, when
+// non-nil, is the victim-under-fire hook (core.OnlineConfig.AfterRound).
+func runStandalone(job campaign.Job, afterRound func(round int, mapped []byte)) (*core.OnlineResult, error) {
+	sys, err := job.Module.NewSystem()
 	if err != nil {
 		return nil, err
 	}
-	return quant.NewQuantizer(clean).WeightFileBytes(), nil
+	cfg := job.Online
+	cfg.AfterRound = afterRound
+	return core.ExecuteOnline(sys, job.WeightFile, job.Reqs, cfg)
 }
 
 // wrapOnline lifts the internal online result into the public shape.
@@ -327,26 +343,11 @@ func wrapOnline(res *core.OnlineResult) *Online {
 // the victim map its weight file, hammer, and read back the corrupted
 // file.
 func HammerOnline(v *Victim, off *Offline, hw HardwareConfig) (*Online, error) {
-	profileDev, err := hw.resolveDevice()
+	job, err := onlineJob(v, off, hw)
 	if err != nil {
 		return nil, err
 	}
-	moduleMB := orInt(hw.ModuleMB, 192)
-	mod, err := dram.NewModuleForSize(moduleMB<<20, profileDev, orI64(hw.Seed, 7))
-	if err != nil {
-		return nil, err
-	}
-	sys := memsys.NewSystem(mod)
-	if f := hw.faultModel(); f != (dram.FaultModel{}) {
-		sys.InjectFaults(f)
-	}
-
-	cleanFile, err := victimWeightFile(v)
-	if err != nil {
-		return nil, err
-	}
-	reqs := core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes)
-	res, err := core.ExecuteOnline(sys, cleanFile, reqs, hw.onlineConfig(len(cleanFile)/memsys.PageSize))
+	res, err := runStandalone(job, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +413,7 @@ type ServeOptions struct {
 	// the server for wall-clock stats (default 0 = off).
 	LiveClients int
 	// Seed fixes the replay and simulated-arrival streams (default:
-	// the hardware seed).
+	// the resolved hardware seed).
 	Seed int64
 	// CheckerSeed seeds the DeepDyve checker's training (default:
 	// victim seed + 1000). The checker is a resnet20 trained on the
@@ -471,20 +472,7 @@ type ServeTimeline struct {
 // measurement window recording live TA/ASR, the DeepDyve alarm rate
 // over a deterministic replay stream, and simulated service quality.
 func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOptions) (*ServeTimeline, error) {
-	profileDev, err := hw.resolveDevice()
-	if err != nil {
-		return nil, err
-	}
-	moduleMB := orInt(hw.ModuleMB, 192)
-	mod, err := dram.NewModuleForSize(moduleMB<<20, profileDev, orI64(hw.Seed, 7))
-	if err != nil {
-		return nil, err
-	}
-	sys := memsys.NewSystem(mod)
-	if f := hw.faultModel(); f != (dram.FaultModel{}) {
-		sys.InjectFaults(f)
-	}
-	cleanFile, err := victimWeightFile(v)
+	job, err := onlineJob(v, off, hw)
 	if err != nil {
 		return nil, err
 	}
@@ -500,19 +488,18 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 	// The DeepDyve checker: a small model trained on the same task with
 	// a different seed, served int8 so the whole protocol runs on
 	// concurrency-safe engines.
+	checkerSeed := cmp.Or(opts.CheckerSeed, v.seed+1000)
+	checkerCfg := models.Config{Arch: "resnet20", Classes: v.cfg.Classes, WidthMult: 0.25, Seed: checkerSeed}
 	checkerRes, err := pretrain.TrainCached(pretrain.Config{
-		Model: models.Config{Arch: "resnet20", Classes: v.cfg.Classes,
-			WidthMult: 0.25, Seed: orI64(opts.CheckerSeed, v.seed+1000)},
+		Model:  checkerCfg,
 		Data:   v.dcfg,
 		Epochs: v.epochs,
-		Seed:   orI64(opts.CheckerSeed, v.seed+1000),
+		Seed:   checkerSeed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rowhammer: training checker: %w", err)
 	}
-	checkerModel, err := pretrain.CloneModel(
-		models.Config{Arch: "resnet20", Classes: v.cfg.Classes, WidthMult: 0.25,
-			Seed: orI64(opts.CheckerSeed, v.seed+1000)}, checkerRes.Model)
+	checkerModel, err := pretrain.CloneModel(checkerCfg, checkerRes.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -525,24 +512,21 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 		Trigger: off.Trigger,
 		Target:  off.target,
 		Serve: serve.Config{
-			BatchMax: orInt(opts.BatchMax, 32),
-			Workers:  orInt(opts.Workers, 1),
+			BatchMax: cmp.Or(opts.BatchMax, 32),
+			Workers:  cmp.Or(opts.Workers, 1),
 		},
 		Cfg: serve.FireConfig{
-			Seed:            orI64(opts.Seed, orI64(hw.Seed, 7)),
+			Seed:            cmp.Or(opts.Seed, job.Module.Seed),
 			ReplayQueries:   opts.ReplayQueries,
 			TriggerFraction: opts.TriggerFraction,
 			LiveClients:     opts.LiveClients,
 		},
 	}
 
-	reqs := core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes)
 	var onres *core.OnlineResult
 	rep, live, err := serve.RunUnderFire(fire, func(apply func(round int, mapped []byte)) error {
-		ocfg := hw.onlineConfig(len(cleanFile) / memsys.PageSize)
-		ocfg.AfterRound = apply
 		var aerr error
-		onres, aerr = core.ExecuteOnline(sys, cleanFile, reqs, ocfg)
+		onres, aerr = runStandalone(job, apply)
 		return aerr
 	})
 	if err != nil {
@@ -570,25 +554,4 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 		})
 	}
 	return tl, nil
-}
-
-func orInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func orF32(v, def float32) float32 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func orI64(v, def int64) int64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }

@@ -2,7 +2,12 @@ package rowhammer
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
+
+	"rowhammer/internal/campaign"
+	"rowhammer/internal/campaign/server"
 )
 
 // TestPublicAPIEndToEnd drives the façade through the whole pipeline at
@@ -191,6 +196,105 @@ func TestRunFleetMatchesHammerOnline(t *testing.T) {
 	}
 	if _, err := RunFleet(victim, off, nil, FleetConfig{}); err == nil {
 		t.Fatal("empty fleet must fail")
+	}
+}
+
+// TestOnlineSurfacesAgree pins the single-resolver contract: one
+// HardwareConfig run through HammerOnline, RunFleet and the campaignd
+// core (FleetService.SubmitJSON) attacks the identical deployment. With
+// no fault model all three corrupt the weight file byte for byte alike
+// and report identical scrubbed outcomes; with a fault model, RunFleet
+// and the daemon still agree byte for byte.
+func TestOnlineSurfacesAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy: trains a victim model; run without -short")
+	}
+	victim, err := TrainVictim(VictimConfig{Arch: "resnet20", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := InjectBackdoor(victim, AttackConfig{TargetClass: 2, Iterations: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, reqs, err := onlineInputs(victim, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := StartFleetService(FleetServiceConfig{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	// scrubbed renders a campaign result the way the daemon's
+	// /results?scrub=1 endpoint does.
+	scrubbed := func(r campaign.Result) []byte {
+		r.Scrub()
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	daemonResult := func(hw HardwareConfig) campaign.Result {
+		spec, err := json.Marshal(server.FleetSpec{Jobs: []server.JobSpec{hw.jobSpec("m", file, reqs)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := svc.SubmitJSON(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, _ := svc.FleetDone(id)
+		<-done
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/fleets/"+id+"/results?scrub=1", nil))
+		var r campaign.Result
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+			t.Fatalf("daemon results: %v (%s)", err, rec.Body.Bytes())
+		}
+		return r
+	}
+	fleetResult := func(hw HardwareConfig) campaign.Result {
+		sum, err := RunFleet(victim, off, []FleetModule{{Name: "m", Hardware: hw}}, FleetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := sum.Reports[0]
+		if fr.Err != nil {
+			t.Fatal(fr.Err)
+		}
+		return campaign.Result{Index: fr.Index, Name: fr.Name, SKU: fr.SKU, CacheHit: fr.CacheHit, Online: fr.Online.inner}
+	}
+
+	for _, tc := range []struct {
+		name       string
+		hw         HardwareConfig
+		standalone bool
+	}{
+		{"no-fault", HardwareConfig{Seed: 3}, true},
+		{"faulty", HardwareConfig{Seed: 3, Device: "F1", FlipFailProb: 0.2, FaultSeed: 5, Rounds: 3, Escalation: 2}, false},
+	} {
+		fleet, daemon := fleetResult(tc.hw), daemonResult(tc.hw)
+		if fb, db := scrubbed(fleet), scrubbed(daemon); !bytes.Equal(fb, db) {
+			t.Fatalf("%s: RunFleet and campaignd scrubbed results differ", tc.name)
+		}
+		if !tc.standalone {
+			continue
+		}
+		on, err := HammerOnline(victim, off, tc.hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := fleet
+		alone.Online = on.inner
+		if !bytes.Equal(on.inner.CorruptedFile, daemon.Online.CorruptedFile) {
+			t.Fatalf("%s: HammerOnline corrupted file differs from campaignd", tc.name)
+		}
+		if !bytes.Equal(scrubbed(alone), scrubbed(fleet)) {
+			t.Fatalf("%s: HammerOnline scrubbed outcome differs from RunFleet", tc.name)
+		}
 	}
 }
 
