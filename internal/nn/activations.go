@@ -1,10 +1,13 @@
 package nn
 
-import "rowhammer/internal/tensor"
+import (
+	"math"
+
+	"rowhammer/internal/tensor"
+)
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask   []bool
 	outBuf *tensor.Tensor
 }
 
@@ -22,34 +25,36 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		out = tensor.New(x.Shape()...)
 	}
-	xd, od := x.Data(), out.Data()
-	if cap(r.mask) < len(xd) {
-		r.mask = make([]bool, len(xd))
-	}
-	r.mask = r.mask[:len(xd)]
+	xd := x.Data()
+	od := out.Data()[:len(xd)]
 	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-			r.mask[i] = true
-		} else {
-			od[i] = 0
-			r.mask[i] = false
+		// Select on the bits so the compiler emits a conditional move:
+		// activation signs are close to random, and a branch here
+		// mispredicts about half the time.
+		b := math.Float32bits(v)
+		if !(v > 0) {
+			b = 0
 		}
+		od[i] = math.Float32frombits(b)
 	}
 	return out
 }
 
-// Backward implements Layer. The mask is applied to the incoming
-// gradient in place — every producer upstream hands this layer a
-// buffer it owns and overwrites on its next backward, so the fused
-// zero-allocation form is safe (Tap snapshots its gradient precisely
-// because of this).
+// Backward implements Layer. The gradient is zeroed wherever the last
+// training output is not positive: that output is v where v > 0 and +0
+// everywhere else (−0 and NaN included), so "output > 0" is exactly the
+// forward's "v > 0" and no separate mask is kept. It is applied in
+// place — every producer upstream hands this layer a buffer it owns and
+// overwrites on its next backward, so the fused zero-allocation form is
+// safe (Tap snapshots its gradient precisely because of this).
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gd := grad.Data()
-	for i, m := range r.mask {
-		if !m {
-			gd[i] = 0
+	for i, v := range r.outBuf.Data()[:len(gd)] {
+		b := math.Float32bits(gd[i])
+		if !(v > 0) {
+			b = 0
 		}
+		gd[i] = math.Float32frombits(b)
 	}
 	return grad
 }

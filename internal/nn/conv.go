@@ -4,23 +4,12 @@ import (
 	"rowhammer/internal/tensor"
 )
 
-// im2colCacheBudget bounds the per-layer forward im2col panel cache (in
-// bytes). When a training-mode forward's full batch of column panels
-// fits the budget, the layer keeps them and the backward pass reuses
-// them for the weight-gradient GEMM instead of recomputing im2col; a
-// batch that exceeds the budget falls back to recomputation.
-var im2colCacheBudget = 16 << 20
-
-// SetIm2ColCacheBudget overrides the per-layer im2col panel cache
-// budget in bytes (0 disables caching) and returns the previous value.
-func SetIm2ColCacheBudget(bytes int) int {
-	prev := im2colCacheBudget
-	if bytes < 0 {
-		bytes = 0
-	}
-	im2colCacheBudget = bytes
-	return prev
-}
+// im2colCacheBudget bounds the batch of Im2Col panels a training
+// forward on the Im2Col path keeps for the backward weight gradient (in
+// bytes). The direct stride-1 path needs no panels. On the victim's
+// Im2Col shapes (the 3-channel stem and the stride-2 convs) keeping
+// the panels measured faster than lowering every image twice.
+const im2colCacheBudget = 16 << 20
 
 // convBwdChunks returns the fixed chunk count for the backward batch
 // partition. It depends only on the batch size — never on the worker
@@ -53,22 +42,30 @@ type Conv2D struct {
 
 	// Steady-state buffers: the output and input-gradient tensors are
 	// grow-only per-layer caches (training-mode only for the output, so
-	// inference callers may hold results across calls), the weight
-	// matrix views are built once, and colCache holds the forward
-	// im2col panels for the backward weight-gradient GEMM when the
-	// batch fits the budget.
+	// inference callers may hold results across calls), and the weight
+	// matrix views are built once.
 	outBuf    *tensor.Tensor
 	gradInBuf *tensor.Tensor
 	wMat      *tensor.Tensor
 	gWMat     *tensor.Tensor
+
+	// direct is the direct stride-1 plan for planH×planW inputs, nil
+	// when that geometry takes the Im2Col + GEMM path.
+	direct       *tensor.ConvS1
+	planH, planW int
+
+	// colCache holds the last training forward's Im2Col panels on the
+	// fallback path when the batch fits im2colCacheBudget.
 	colCache  []float32
 	colCached bool
-	fwd       *convFwdScratch
-	bwd       *convBwdScratch
+
+	fwd *convFwdScratch
+	bwd *convBwdScratch
 }
 
-// convFwdScratch caches the per-chunk forward tensor headers (im2col
-// panel view and output view), rebuilt when the batch geometry changes.
+// convFwdScratch caches the per-chunk forward tensor headers of the
+// Im2Col path (column panel view and output view), rebuilt when the
+// batch geometry changes.
 type convFwdScratch struct {
 	n, h, w int
 	colT    []*tensor.Tensor
@@ -90,6 +87,15 @@ type convBwdScratch struct {
 	tmpGW    []*tensor.Tensor
 	localGW  []*tensor.Tensor
 	g        []*tensor.Tensor
+}
+
+// biasSlotOf returns chunk idx's bias-gradient slot, nil for a
+// bias-free layer.
+func (sc *convBwdScratch) biasSlotOf(idx, outC int) []float32 {
+	if sc.biasSlot == nil {
+		return nil
+	}
+	return sc.biasSlot[idx*outC : (idx+1)*outC]
 }
 
 // bindMat points a cached header at data, creating it on first use.
@@ -140,7 +146,50 @@ func (c *Conv2D) weightViews() (wMat, gWMat *tensor.Tensor) {
 	return c.wMat, c.gWMat
 }
 
-// Forward implements Layer for input (N, InC, H, W).
+// plan returns the direct stride-1 plan for h×w inputs, or nil when the
+// geometry takes the Im2Col + GEMM path.
+func (c *Conv2D) plan(h, w int) *tensor.ConvS1 {
+	if c.planH != h || c.planW != w {
+		c.planH, c.planW, c.direct = h, w, nil
+		if c.stride == 1 {
+			c.direct = tensor.NewConvS1(c.inC, c.outC, h, w, c.kh, c.kw, c.pad)
+		}
+	}
+	return c.direct
+}
+
+// addBias adds the per-channel bias to one image's output (outC rows
+// of hw).
+func (c *Conv2D) addBias(out []float32, hw int) {
+	if c.Bias == nil {
+		return
+	}
+	for oc, b := range c.Bias.W.Data() {
+		row := out[oc*hw : (oc+1)*hw]
+		for j := range row {
+			row[j] += b
+		}
+	}
+}
+
+// accBiasGrad adds one image's per-channel gradient sums into gb.
+func (c *Conv2D) accBiasGrad(gb, g []float32, hw int) {
+	if c.Bias == nil {
+		return
+	}
+	for oc := range gb {
+		var s float32
+		for _, v := range g[oc*hw : (oc+1)*hw] {
+			s += v
+		}
+		gb[oc] += s
+	}
+}
+
+// Forward implements Layer for input (N, InC, H, W). Stride-1 shapes the
+// direct kernels cover convolve a zero-padded copy of each image;
+// everything else is lowered image by image through Im2Col and a GEMM.
+// Both give the same bytes for the shapes they share.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.OutSize(h, w)
@@ -153,22 +202,34 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		out = tensor.New(n, c.outC, oh, ow)
 	}
-	wMat, _ := c.weightViews()
 	imgLen := c.inC * h * w
 	outLen := c.outC * oh * ow
-	colLen := tensor.ColBufLen(c.inC, h, w, c.kh, c.kw, c.stride, c.pad)
+	chunks := convBwdChunks(n)
 
-	// Cache the im2col panels for the backward pass when the whole
-	// batch fits the budget (training mode only).
-	c.colCached = train && colLen > 0 && n*colLen*4 <= im2colCacheBudget
+	if p := c.plan(h, w); p != nil {
+		p.PackWeights(c.Weight.W.Data())
+		tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(_, lo, hi int) {
+			pimg := tensor.GetF32(p.PadLen())
+			for i := lo; i < hi; i++ {
+				od := out.Data()[i*outLen : (i+1)*outLen]
+				p.PadInput(x.Data()[i*imgLen:(i+1)*imgLen], pimg)
+				p.Forward(pimg, od)
+				c.addBias(od, oh*ow)
+			}
+			tensor.PutF32(pimg)
+		})
+		return out
+	}
+
+	wMat, _ := c.weightViews()
+	colLen := tensor.ColBufLen(c.inC, h, w, c.kh, c.kw, c.stride, c.pad)
+	c.colCached = train && n*colLen*4 <= im2colCacheBudget
 	if c.colCached {
 		if cap(c.colCache) < n*colLen {
 			c.colCache = make([]float32, n*colLen)
 		}
 		c.colCache = c.colCache[:n*colLen]
 	}
-
-	chunks := convBwdChunks(n)
 	fs := c.fwd
 	if fs == nil || fs.n != n || fs.h != h || fs.w != w {
 		fs = &convFwdScratch{
@@ -182,47 +243,37 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		var col []float32
 		if !c.colCached {
 			col = tensor.GetF32(colLen)
-		} else {
-			col = c.colCache[lo*colLen : (lo+1)*colLen]
 		}
-		colT := bindMat(&fs.colT[idx], col, c.inC*c.kh*c.kw, oh*ow)
+		colT := bindMat(&fs.colT[idx], c.panel(col, lo, colLen), c.inC*c.kh*c.kw, oh*ow)
 		dst := bindMat(&fs.dst[idx], out.Data()[lo*outLen:(lo+1)*outLen], c.outC, oh*ow)
 		for i := lo; i < hi; i++ {
-			if c.colCached {
-				col = c.colCache[i*colLen : (i+1)*colLen]
-				colT.Rebind(col)
-			}
 			img := x.Data()[i*imgLen : (i+1)*imgLen]
-			tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
+			colT.Rebind(c.panel(col, i, colLen))
+			tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, colT.Data())
 			dst.Rebind(out.Data()[i*outLen : (i+1)*outLen])
 			tensor.MatMulInto(dst, wMat, colT)
-			if c.Bias != nil {
-				bd := c.Bias.W.Data()
-				od := dst.Data()
-				for oc := 0; oc < c.outC; oc++ {
-					b := bd[oc]
-					row := od[oc*oh*ow : (oc+1)*oh*ow]
-					for j := range row {
-						row[j] += b
-					}
-				}
-			}
+			c.addBias(dst.Data(), oh*ow)
 		}
-		if !c.colCached {
-			tensor.PutF32(col)
-		}
+		tensor.PutF32(col)
 	})
 	return out
+}
+
+// panel returns image i's Im2Col panel: its slice of the batch cache
+// when the forward kept one, else the pooled per-chunk buffer col.
+func (c *Conv2D) panel(col []float32, i, colLen int) []float32 {
+	if c.colCached {
+		return c.colCache[i*colLen : (i+1)*colLen]
+	}
+	return col
 }
 
 // Backward implements Layer. The batch is partitioned into a fixed
 // number of chunks (a function of the batch size only); each chunk
 // accumulates its weight-gradient contribution into a private slot and
 // the slots are tree-reduced in fixed order, so the result is
-// bit-identical at any worker count. The im2col panels cached by the
-// training forward are reused for the weight-gradient GEMM; everything
-// else is pooled or layer-cached, so the steady state allocates
-// nothing.
+// bit-identical at any worker count. Scratch is pooled or layer-cached,
+// so the steady state allocates nothing.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	n, h, w := x.Dim(0), c.lastH, c.lastW
@@ -230,7 +281,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	imgLen := c.inC * h * w
 	outLen := c.outC * oh * ow
 	ckk := c.inC * c.kh * c.kw
-	colLen := tensor.ColBufLen(c.inC, h, w, c.kh, c.kw, c.stride, c.pad)
 
 	c.gradInBuf = tensor.Ensure(c.gradInBuf, n, c.inC, h, w)
 	gradIn := c.gradInBuf
@@ -256,78 +306,79 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		c.bwd = sc
 	}
 	slotBuf := sc.slotBuf
-	for i := range slotBuf {
-		slotBuf[i] = 0
-	}
+	clear(slotBuf)
 	biasSlots := sc.biasSlot
-	for i := range biasSlots {
-		biasSlots[i] = 0
-	}
+	clear(biasSlots)
 
-	tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
-		var col []float32
-		if !c.colCached {
-			col = tensor.GetF32(colLen)
-		} else {
-			col = c.colCache[lo*colLen : (lo+1)*colLen]
-		}
-		colT := bindMat(&sc.colT[idx], col, ckk, oh*ow)
-		gradColData := tensor.GetF32(ckk * oh * ow)
-		gradCol := bindMat(&sc.gradCol[idx], gradColData, ckk, oh*ow)
-		tmpGWData := tensor.GetF32(c.outC * ckk)
-		tmpGW := bindMat(&sc.tmpGW[idx], tmpGWData, c.outC, ckk)
-		localGW := bindMat(&sc.localGW[idx], slotBuf[idx*slotLen:(idx+1)*slotLen], c.outC, ckk)
-		g := bindMat(&sc.g[idx], grad.Data()[lo*outLen:(lo+1)*outLen], c.outC, oh*ow)
-		var localGB []float32
-		if c.Bias != nil {
-			localGB = biasSlots[idx*c.outC : (idx+1)*c.outC]
-		}
-		first := true
-		for i := lo; i < hi; i++ {
-			if c.colCached {
-				colT.Rebind(c.colCache[i*colLen : (i+1)*colLen])
-			} else {
-				img := x.Data()[i*imgLen : (i+1)*imgLen]
-				tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
-			}
-			g.Rebind(grad.Data()[i*outLen : (i+1)*outLen])
-
-			// dW_slot += g · colᵀ; the first item writes straight into
-			// the slot (it was zeroed), later items go via scratch.
-			if first {
-				tensor.MatMulABTInto(localGW, g, colT)
-				first = false
-			} else {
-				tensor.MatMulABTInto(tmpGW, g, colT)
-				localGW.AddScaled(tmpGW, 1)
-			}
-
-			// dCol = Wᵀ · g, scattered back to the input image.
-			tensor.MatMulATBInto(gradCol, wMat, g)
-			dst := gradIn.Data()[i*imgLen : (i+1)*imgLen]
-			for j := range dst {
-				dst[j] = 0
-			}
-			tensor.Col2Im(gradCol.Data(), c.inC, h, w, c.kh, c.kw, c.stride, c.pad, dst)
-
-			if c.Bias != nil {
-				gd := g.Data()
-				for oc := 0; oc < c.outC; oc++ {
-					row := gd[oc*oh*ow : (oc+1)*oh*ow]
-					var s float32
-					for _, v := range row {
-						s += v
+	if p := c.plan(h, w); p != nil {
+		p.PackWeights(c.Weight.W.Data())
+		tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
+			pimg := tensor.GetF32(p.PadLen())
+			tmpGW := tensor.GetF32(slotLen)
+			localGW := slotBuf[idx*slotLen : (idx+1)*slotLen]
+			localGB := sc.biasSlotOf(idx, c.outC)
+			for i := lo; i < hi; i++ {
+				g := grad.Data()[i*outLen : (i+1)*outLen]
+				p.PadInput(x.Data()[i*imgLen:(i+1)*imgLen], pimg)
+				// dW_slot += g · colᵀ; the first item writes straight
+				// into the slot, later items go via scratch.
+				if i == lo {
+					p.WeightGrad(g, pimg, localGW)
+				} else {
+					p.WeightGrad(g, pimg, tmpGW)
+					for j, v := range tmpGW {
+						localGW[j] += v
 					}
-					localGB[oc] += s
 				}
+				p.InputGrad(g, gradIn.Data()[i*imgLen:(i+1)*imgLen])
+				c.accBiasGrad(localGB, g, oh*ow)
 			}
-		}
-		if !c.colCached {
+			tensor.PutF32(tmpGW)
+			tensor.PutF32(pimg)
+		})
+	} else {
+		colLen := tensor.ColBufLen(c.inC, h, w, c.kh, c.kw, c.stride, c.pad)
+		tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
+			var col []float32
+			if !c.colCached {
+				col = tensor.GetF32(colLen)
+			}
+			colT := bindMat(&sc.colT[idx], c.panel(col, lo, colLen), ckk, oh*ow)
+			gradColData := tensor.GetF32(ckk * oh * ow)
+			gradCol := bindMat(&sc.gradCol[idx], gradColData, ckk, oh*ow)
+			tmpGWData := tensor.GetF32(slotLen)
+			tmpGW := bindMat(&sc.tmpGW[idx], tmpGWData, c.outC, ckk)
+			localGW := bindMat(&sc.localGW[idx], slotBuf[idx*slotLen:(idx+1)*slotLen], c.outC, ckk)
+			g := bindMat(&sc.g[idx], grad.Data()[lo*outLen:(lo+1)*outLen], c.outC, oh*ow)
+			localGB := sc.biasSlotOf(idx, c.outC)
+			for i := lo; i < hi; i++ {
+				colT.Rebind(c.panel(col, i, colLen))
+				if !c.colCached {
+					img := x.Data()[i*imgLen : (i+1)*imgLen]
+					tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
+				}
+				g.Rebind(grad.Data()[i*outLen : (i+1)*outLen])
+
+				// dW_slot += g · colᵀ, as in the direct branch.
+				if i == lo {
+					tensor.MatMulABTInto(localGW, g, colT)
+				} else {
+					tensor.MatMulABTInto(tmpGW, g, colT)
+					localGW.AddScaled(tmpGW, 1)
+				}
+
+				// dCol = Wᵀ · g, scattered back to the input image.
+				tensor.MatMulATBInto(gradCol, wMat, g)
+				dst := gradIn.Data()[i*imgLen : (i+1)*imgLen]
+				clear(dst)
+				tensor.Col2Im(gradCol.Data(), c.inC, h, w, c.kh, c.kw, c.stride, c.pad, dst)
+				c.accBiasGrad(localGB, g.Data(), oh*ow)
+			}
 			tensor.PutF32(col)
-		}
-		tensor.PutF32(gradColData)
-		tensor.PutF32(tmpGWData)
-	})
+			tensor.PutF32(gradColData)
+			tensor.PutF32(tmpGWData)
+		})
+	}
 
 	// Fixed-order tree reduction of the chunk slots into the parameter
 	// gradients — deterministic regardless of scheduling.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"rowhammer/internal/tensor"
@@ -56,5 +57,28 @@ func BenchmarkLinearForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		y := lin.Forward(x, true)
 		lin.Backward(y)
+	}
+}
+
+// BenchmarkConv2DVictim times one forward+backward of each stride-1
+// conv shape in the width-0.25 ResNet-20 victim, at its training batch
+// of 32, at one worker.
+func BenchmarkConv2DVictim(b *testing.B) {
+	for _, s := range []struct{ ch, hw int }{{4, 32}, {8, 16}, {16, 8}} {
+		b.Run(fmt.Sprintf("%dch_%dx%d", s.ch, s.hw, s.hw), func(b *testing.B) {
+			rng := tensor.NewRNG(3)
+			conv := NewConv2D("bench", rng, s.ch, s.ch, 3, 1, 1, false)
+			x := tensor.New(32, s.ch, s.hw, s.hw)
+			rng.FillNormal(x, 0, 1)
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+			grad := conv.Forward(x, true).Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Forward(x, true)
+				conv.Weight.G.Zero()
+				conv.Backward(grad)
+			}
+		})
 	}
 }

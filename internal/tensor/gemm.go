@@ -72,16 +72,39 @@ var gemmDotABT func(m, n, k int, a []float32, lda int, b []float32, ldb int, c [
 // summation order depend only on the shape.
 var gemmAxpyB func(m, n, k int, a []float32, rsA, csA int, b []float32, ldb int, c []float32)
 
+// gemmBranch names the kernel family gemm() runs for a shape.
+type gemmBranch int
+
+const (
+	gemmBranchPacked gemmBranch = iota // packed panels + MR×NR micro-kernel
+	gemmBranchDot                      // gemmDotABT
+	gemmBranchAxpy                     // gemmAxpyB
+)
+
+// gemmBranchFor is gemm()'s dispatch rule, a pure function of the
+// operand shape and strides. The direct convolution (conv_s1.go) gates
+// on it too, so it only takes over shapes whose summation order it
+// reproduces.
+func gemmBranchFor(m, n, k, csA, rsB, csB int) gemmBranch {
+	if gemmDotABT != nil && csA == 1 && rsB == 1 && m <= 8 && m*n <= 1024 && k >= 64 {
+		return gemmBranchDot
+	}
+	if gemmAxpyB != nil && csB == 1 && n >= 64 && (m <= 16 || k <= 16) {
+		return gemmBranchAxpy
+	}
+	return gemmBranchPacked
+}
+
 // gemm computes C = op(A)·op(B) into c (m×n, row-major, fully
 // overwritten). op(A) is m×k with element (i,p) at a[i*rsA+p*csA];
 // op(B) is k×n with element (p,j) at b[p*rsB+j*csB].
 func gemm(m, n, k int, a []float32, rsA, csA int, b []float32, rsB, csB int, c []float32) {
 	c = c[:m*n]
-	if gemmDotABT != nil && csA == 1 && rsB == 1 && m <= 8 && m*n <= 1024 && k >= 64 {
+	switch gemmBranchFor(m, n, k, csA, rsB, csB) {
+	case gemmBranchDot:
 		gemmDotABT(m, n, k, a, rsA, b, csB, c)
 		return
-	}
-	if gemmAxpyB != nil && csB == 1 && n >= 64 && (m <= 16 || k <= 16) {
+	case gemmBranchAxpy:
 		gemmAxpyB(m, n, k, a, rsA, csA, b, rsB, c)
 		return
 	}
@@ -274,4 +297,21 @@ func gemmKernel2x4(kc int, ap, bp, c []float32, ldc int) {
 	c1[1] += c11
 	c1[2] += c12
 	c1[3] += c13
+}
+
+// ForcePortable switches the float kernels to their portable Go forms —
+// the 2×4 packed GEMM tile, no no-pack fast paths, no direct
+// convolution — and returns a function that restores the selection
+// made at init. It lets tests cover the fallback paths on AVX2
+// hardware. Layers cache their direct-convolution plans, so build them
+// after the switch; no kernel may run concurrently with either call.
+func ForcePortable() (restore func()) {
+	mr, nr, mc, kern := gemmMR, gemmNR, gemmMC, gemmKernel
+	dot, axpy, conv := gemmDotABT, gemmAxpyB, convS1Available
+	gemmMR, gemmNR, gemmMC, gemmKernel = 2, 4, 64, gemmKernel2x4
+	gemmDotABT, gemmAxpyB, convS1Available = nil, nil, false
+	return func() {
+		gemmMR, gemmNR, gemmMC, gemmKernel = mr, nr, mc, kern
+		gemmDotABT, gemmAxpyB, convS1Available = dot, axpy, conv
+	}
 }

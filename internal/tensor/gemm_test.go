@@ -164,9 +164,7 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 // portable path keeps its coverage on machines where the assembly
 // kernel is active.
 func TestGemmPortableKernelMatchesNaive(t *testing.T) {
-	mr, nr, mc, kern := gemmMR, gemmNR, gemmMC, gemmKernel
-	defer func() { gemmMR, gemmNR, gemmMC, gemmKernel = mr, nr, mc, kern }()
-	gemmMR, gemmNR, gemmMC, gemmKernel = 2, 4, 64, gemmKernel2x4
+	defer ForcePortable()()
 
 	rng := NewRNG(77)
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 8, 4}, {5, 17, 9}, {65, 257, 33}, {64, 256, 64}} {
